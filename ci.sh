@@ -43,13 +43,24 @@ echo "==> bench smoke (pipeline --smoke --check BENCH_pipeline.json)"
 #   * the fresh smoke run completes its own sweep (scales {1, 5},
 #     best-of-3 interleaved out-of-order batches) and its scale=5 ingest
 #     wall stays within 7.0x of its scale=1 wall (5x the rows plus
-#     consolidation headroom).
+#     consolidation headroom);
+#   * fusion linearity on the same fresh sweep: the scale=5 streaming
+#     fusion wall (fusion_secs) stays within 7.0x of its scale=1 fusion
+#     wall, so per-event fusion cost must not grow with the live-window
+#     population.
 # Speedups and linearity checks are in-run ratios, so every gate is
 # machine-independent.
 smoke_out="$(mktemp)"
 telemetry_out="$(mktemp)"
 trap 'rm -f "$smoke_out" "$telemetry_out"' EXIT
 ./target/release/pipeline --smoke --out "$smoke_out" --check BENCH_pipeline.json
+
+echo "==> benchmark tests (perfbench, tiny workloads)"
+# The repository benchmark's own suite runs every workload at a tiny
+# size. Its stream workload checks the final StreamingFusion snapshot
+# against the store's aggregates and against JointAnalysis, so a fusion
+# change that breaks that equality fails here.
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
 
 echo "==> telemetry smoke (repro --smoke --telemetry --threads 8 + validator)"
 # A full reduced-scale reproduction with collection on must emit a

@@ -64,7 +64,9 @@
 //! proof that ingest stays amortized-linear to 100x paper scale. Fresh
 //! smoke runs additionally gate their scale=5/scale=1 ingest ratio at
 //! [`SWEEP_SMOKE_INGEST_RATIO`] (5x the work, plus headroom for
-//! millisecond-lane noise). On a full-scale run whose scale/days match
+//! millisecond-lane noise), and their scale=5/scale=1 streaming-fusion
+//! ratio at [`SWEEP_SMOKE_FUSION_RATIO`] (the same budget: fusion must
+//! stay linear in the events pushed). On a full-scale run whose scale/days match
 //! the committed file, `--check` also gates the disabled-telemetry
 //! serial measurement wall at [`DISABLED_TELEMETRY_BUDGET`] of the
 //! committed trajectory — proof that instrumentation-off costs stay
@@ -199,6 +201,12 @@ const SWEEP_SCALE20_BUDGET: f64 = 3.0;
 /// Fresh smoke-run ceiling on the scale=5 / scale=1 ingest-wall ratio
 /// (5x the work, with headroom because both lanes are milliseconds).
 const SWEEP_SMOKE_INGEST_RATIO: f64 = 7.0;
+
+/// Fresh smoke-run ceiling on the scale=5 / scale=1 streaming-fusion wall
+/// ratio: 5x the events through `StreamingFusion`, with the same headroom
+/// as ingest. A fusion cost that grows with the live-window population
+/// (rather than per event) breaks it.
+const SWEEP_SMOKE_FUSION_RATIO: f64 = 7.0;
 
 /// Working-set bytes pre-faulted per scheduled sweep event on full runs
 /// (see the module docs' memory note): covers the event vectors, the
@@ -1128,9 +1136,9 @@ fn main() {
                 lane.events, lane.peak_bytes
             ));
         }
-        // Fresh smoke runs re-prove near-linear ingest at CI scale: the
-        // scale=5 lane did 5x the scale=1 work through the same
-        // interleaved-batch path.
+        // Fresh smoke runs re-prove near-linear ingest and fusion at CI
+        // scale: the scale=5 lane did 5x the scale=1 work through the
+        // same interleaved-batch path and the same streaming pass.
         if opts.smoke {
             let lane1 = sweep
                 .iter()
@@ -1145,6 +1153,13 @@ fn main() {
                 fail(&format!(
                     "fresh smoke ingest is superlinear: scale=5 took {:.4}s vs {:.4}s at scale 1 (x{r:.2}, budget x{SWEEP_SMOKE_INGEST_RATIO})",
                     lane5.ingest_secs, lane1.ingest_secs
+                ));
+            }
+            let r = ratio(lane5.fusion_secs, lane1.fusion_secs);
+            if r > SWEEP_SMOKE_FUSION_RATIO {
+                fail(&format!(
+                    "fresh smoke fusion is superlinear: scale=5 took {:.4}s vs {:.4}s at scale 1 (x{r:.2}, budget x{SWEEP_SMOKE_FUSION_RATIO})",
+                    lane5.fusion_secs, lane1.fusion_secs
                 ));
             }
         }

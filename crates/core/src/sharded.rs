@@ -20,9 +20,8 @@ use crate::store::{EventStore, SourceSummary};
 use crate::streaming::{FusionState, StreamingSnapshot};
 use dosscope_geo::AsDb;
 use dosscope_types::{
-    shard_of, AttackEvent, DayIndex, EventSource, FastMap, Routed, ShardPool, TimeSeries,
+    shard_of, AttackEvent, DayIndex, EventSource, FastMap, FastSet, Routed, ShardPool, TimeSeries,
 };
-use std::collections::HashSet;
 use std::net::Ipv4Addr;
 use std::sync::Arc;
 
@@ -272,7 +271,7 @@ impl ShardedFusion {
                 (lane.state.snapshot(), asns)
             })
             .expect("query on a poisoned engine");
-        let mut asns: HashSet<u32> = HashSet::new();
+        let mut asns: FastSet<u32> = FastSet::default();
         let mut merged = StreamingSnapshot {
             telescope: SourceSummary::default(),
             honeypot: SourceSummary::default(),

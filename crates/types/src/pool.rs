@@ -603,8 +603,20 @@ mod tests {
     type ProbeOutput = (Vec<u32>, usize, Option<ThreadId>);
 
     fn probe_pool(shards: usize, threads: usize) -> ShardPool<Routed<u32>, Probe, ProbeOutput> {
+        named_probe_pool("probe", shards, threads)
+    }
+
+    /// A probe pool publishing under `pool.<name>.*`. Probe pools in
+    /// tests that do not hold the telemetry lock still publish on
+    /// shutdown whenever another test has telemetry on, so a test that
+    /// asserts on published gauges needs a name of its own.
+    fn named_probe_pool(
+        name: &'static str,
+        shards: usize,
+        threads: usize,
+    ) -> ShardPool<Routed<u32>, Probe, ProbeOutput> {
         ShardPool::new(
-            "probe",
+            name,
             shards,
             threads,
             4,
@@ -810,7 +822,7 @@ mod tests {
     #[test]
     fn metrics_survive_shutdown_and_publish_to_registry() {
         let _t = dosscope_obs::testing::scoped_enable();
-        let mut pool = probe_pool(2, 2);
+        let mut pool = named_probe_pool("published", 2, 2);
         pool.dispatch(route(vec![0, 1, 2, 3], 2)).unwrap();
         pool.shutdown().unwrap();
         // The data path is closed, but the snapshot is still coherent.
@@ -818,7 +830,7 @@ mod tests {
         let m = pool.metrics();
         assert_eq!(m.dispatches, 1);
         assert_eq!(m.workers.iter().map(|w| w.batches).sum::<u64>(), 2);
-        // Shutdown published the same numbers as pool.probe.* gauges.
+        // Shutdown published the same numbers as pool.published.* gauges.
         let gauges = dosscope_obs::registry::gauges_snapshot();
         let get = |name: &str| {
             gauges
@@ -827,9 +839,9 @@ mod tests {
                 .map(|(_, v)| *v)
                 .unwrap_or(0)
         };
-        assert_eq!(get("pool.probe.workers"), 2);
-        assert_eq!(get("pool.probe.shards"), 2);
-        assert_eq!(get("pool.probe.dispatches"), 1);
+        assert_eq!(get("pool.published.workers"), 2);
+        assert_eq!(get("pool.published.shards"), 2);
+        assert_eq!(get("pool.published.dispatches"), 1);
     }
 
     #[test]
