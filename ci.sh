@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # The full local CI gate: everything the repository promises, in order.
 #
-#   ./ci.sh            # build + lock check + tests + clippy
+#   ./ci.sh            # build + lock check + tests + clippy + doc links
 #
 # All crates are path dependencies (the vendored stubs included), so the
 # whole script runs offline.
@@ -16,6 +16,11 @@ cargo test -q --workspace
 
 echo "==> cargo clippy --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
+
+echo "==> cargo doc (broken intra-doc links are errors)"
+# A doc link left pointing at a renamed or deleted item fails here.
+RUSTDOCFLAGS="-D rustdoc::broken_intra_doc_links" \
+    cargo doc --workspace --no-deps --offline
 
 echo "==> bench smoke (pipeline --smoke --check BENCH_pipeline.json)"
 # Runs the end-to-end bench at the reduced smoke scale with measurement

@@ -9,6 +9,12 @@
 //! (see below). Writes the machine-readable trajectory to
 //! `BENCH_pipeline.json` (schema `dosscope-bench-pipeline-v5`).
 //!
+//! Only the detector stages (telescope, fleet) run on worker pools. The
+//! `fusion` stage times the serial [`EventStore`] ingest of both
+//! detectors' events — the code `repro` runs — and the `report` stage
+//! Tables 1–3 over that store, so their rows repeat one serial
+//! measurement at every thread count.
+//!
 //! Usage:
 //!
 //! ```text
@@ -107,7 +113,7 @@ use dosscope_bench::baseline::{
     BaselineRequestBatch, BaselineRsdos,
 };
 use dosscope_core::report::{Table1, Table2, Table3};
-use dosscope_core::{EventStore, Framework, ShardedEventStore, StreamingFusion};
+use dosscope_core::{EventStore, Framework, StreamingFusion};
 use dosscope_dns::synth::{synthesize, SynthConfig};
 use dosscope_dps::DpsDataset;
 use dosscope_geo::{AsRegistry, RegistryConfig};
@@ -629,20 +635,12 @@ fn main() {
             peak: fleet_peak,
         });
 
-        // Event fusion into the store — through the pool-backed sharded
-        // store when threaded, collapsing to the canonical serial order.
+        // Event fusion into the store: the serial `EventStore` ingest
+        // `repro` runs, whatever the measurement thread count.
         let t0 = Instant::now();
-        let store = if threads == 1 {
-            let mut store = EventStore::new();
-            store.ingest_telescope(tele_events.clone());
-            store.ingest_honeypot(hp_events.clone());
-            store
-        } else {
-            let mut sharded = ShardedEventStore::new(threads);
-            sharded.ingest_telescope(tele_events.clone());
-            sharded.ingest_honeypot(hp_events.clone());
-            sharded.into_store()
-        };
+        let mut store = EventStore::new();
+        store.ingest_telescope(tele_events.clone());
+        store.ingest_honeypot(hp_events.clone());
         let combined = store.summary_combined();
         let common = store.common_targets();
         stages.push(Stage {

@@ -23,10 +23,6 @@
 //!   two primary infrastructures;
 //! * [`streaming`] — the near-realtime fusion mode the paper's conclusion
 //!   calls for: incremental ingestion with always-current aggregates;
-//! * [`sharded`] — target-sharded variants of the store and the streaming
-//!   fusion whose per-shard accumulators merge into the exact serial
-//!   aggregates (the fusion end of the parallel pipeline; see DESIGN.md's
-//!   concurrency model);
 //! * [`report`] — typed table/figure structures with text rendering, one
 //!   per published table and figure.
 //!
@@ -43,7 +39,6 @@ pub mod enrich;
 pub mod mailimpact;
 pub mod migration;
 pub mod report;
-pub mod sharded;
 pub mod store;
 pub mod streaming;
 pub mod timeseries;
@@ -51,8 +46,7 @@ pub mod webimpact;
 
 pub use correlate::{JointAnalysis, JointStats};
 pub use enrich::{EnrichedEvent, Enricher};
-pub use sharded::{route_events, ShardedEventStore, ShardedFusion};
-pub use streaming::{FusionState, StreamingFusion, StreamingSnapshot};
+pub use streaming::{StreamingFusion, StreamingSnapshot};
 pub use store::{EventStore, EventsIter, EventsView, SourceSummary};
 
 use dosscope_dns::{OrgCatalog, ZoneStore};

@@ -356,7 +356,8 @@ pub struct Table7 {
 impl Table7 {
     /// Build over telescope events: signature-class run lengths summed
     /// across transports (class 0 = single port, 2 = no port info — both
-    /// count as single, like [`PortSignature::is_single`]).
+    /// count as single, like
+    /// [`dosscope_types::PortSignature::is_single`]).
     pub fn build(fw: &Framework<'_>) -> Table7 {
         let idx = fw.store.kind_index(EventSource::Telescope);
         let class_total =

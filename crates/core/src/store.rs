@@ -40,9 +40,8 @@
 //!   count stays logarithmic in the batch count;
 //! * reads *consolidate lazily*: the first query (or an ingest that
 //!   drives the run count past [`EventStore::set_run_threshold`])
-//!   k-way-merges `main` and all runs through a [`LoserTree`] — the same
-//!   primitive the sharded snapshot merge uses — and rebuilds the kind
-//!   index. Large consolidations split on start-time pivots across a
+//!   k-way-merges `main` and all runs through a [`LoserTree`] and
+//!   rebuilds the kind index. Large consolidations split on start-time pivots across a
 //!   transient [`ShardPool`] when
 //!   [`EventStore::set_consolidation_threads`] allows; the output is
 //!   byte-identical for every thread count because the ranges cut the
@@ -389,19 +388,7 @@ impl EventStore {
         self.ingest_batch(EventSource::Honeypot, &events);
     }
 
-    /// Ingest from borrowed events without ever cloning an
-    /// [`AttackEvent`]: rows are encoded straight into the columns.
-    /// This is the sharded pipeline's zero-copy handoff.
-    pub fn ingest_refs<'a>(
-        &mut self,
-        source: EventSource,
-        events: impl Iterator<Item = &'a AttackEvent>,
-    ) {
-        let refs: Vec<&AttackEvent> = events.collect();
-        self.ingest_batch(source, &refs);
-    }
-
-    fn ingest_batch<E: Borrow<AttackEvent>>(&mut self, source: EventSource, events: &[E]) {
+    fn ingest_batch(&mut self, source: EventSource, events: &[AttackEvent]) {
         if events.is_empty() {
             return;
         }
@@ -415,10 +402,7 @@ impl EventStore {
         let mut keys: Vec<(u64, u32, u32)> = events
             .iter()
             .enumerate()
-            .map(|(i, e)| {
-                let e = e.borrow();
-                (e.when.start.0, u32::from(e.target), i as u32)
-            })
+            .map(|(i, e)| (e.when.start.0, u32::from(e.target), i as u32))
             .collect();
         if !keys.is_sorted() {
             keys.sort_unstable();
@@ -442,7 +426,7 @@ impl EventStore {
                 let id = self.victims.intern(Ipv4Addr::from(addr));
                 stats.admit(addr, id);
                 let row = cols.main.len() as u32;
-                cols.main.push_event(events[i as usize].borrow(), id);
+                cols.main.push_event(&events[i as usize], id);
                 cols.index.push(cols.main.kind[row as usize], row);
             }
         } else {
@@ -458,7 +442,7 @@ impl EventStore {
             for &(_, addr, i) in &keys {
                 let id = self.victims.intern(Ipv4Addr::from(addr));
                 stats.admit(addr, id);
-                run.push_event(events[i as usize].borrow(), id);
+                run.push_event(&events[i as usize], id);
             }
             // Binary-counter run maintenance: merge the two newest runs
             // while the older is no larger. Every row is merged at most
@@ -501,8 +485,7 @@ impl EventStore {
 
     /// Force both sources' pending runs into their consolidated blocks
     /// (reads do this lazily; the bench calls it to time ingest
-    /// end-to-end, and the sharded store calls it per shard worker so
-    /// consolidation parallelizes before the snapshot merge).
+    /// end-to-end).
     pub fn consolidate(&self) {
         self.ensure(&self.tele);
         self.ensure(&self.hp);
@@ -828,62 +811,6 @@ impl EventStore {
             + self.hp_stats.blocks16.memory_bytes()
     }
 
-    /// Merge per-shard stores into one canonical store by a loser-tree
-    /// walk over the shards' consolidated column blocks — no event
-    /// struct is decoded or cloned on the way.
-    ///
-    /// Rows are taken in ascending `(start, victim)` order. Equal keys
-    /// can never sit in different shards (a victim belongs to exactly
-    /// one shard), so the merge is deterministic for *any* shard
-    /// enumeration order and reproduces the serial store exactly.
-    pub(crate) fn merge_shards(shards: &[EventStore]) -> EventStore {
-        let mut out = EventStore::new();
-        out.absorb(shards, EventSource::Telescope);
-        out.absorb(shards, EventSource::Honeypot);
-        out
-    }
-
-    fn absorb(&mut self, shards: &[EventStore], source: EventSource) {
-        // `block` consolidates each shard before the walk, so the merge
-        // sees exactly one sorted block per shard.
-        let parts: Vec<BlockRef<'_>> = shards.iter().map(|s| s.block(source)).collect();
-        let addrs: Vec<Vec<u32>> = shards
-            .iter()
-            .zip(&parts)
-            .map(|(s, b)| {
-                b.victim
-                    .iter()
-                    .map(|&id| u32::from(s.victims.resolve(id)))
-                    .collect()
-            })
-            .collect();
-        let total: usize = parts.iter().map(|b| b.len()).sum();
-        let (cols, stats) = match source {
-            EventSource::Telescope => (self.tele.get_mut(), &mut self.tele_stats),
-            EventSource::Honeypot => (self.hp.get_mut(), &mut self.hp_stats),
-        };
-        cols.main.reserve(total);
-        let mut cursors = vec![0usize; parts.len()];
-        let heads: Vec<Option<(u64, u32)>> = parts
-            .iter()
-            .enumerate()
-            .map(|(k, b)| (!b.is_empty()).then(|| (b.start[0], addrs[k][0])))
-            .collect();
-        let mut tree = LoserTree::new(heads);
-        while let Some(k) = tree.winner() {
-            let i = cursors[k];
-            cursors[k] += 1;
-            let addr = addrs[k][i];
-            let id = self.victims.intern(Ipv4Addr::from(addr));
-            stats.admit(addr, id);
-            cols.index.push(parts[k].kind[i], cols.main.len() as u32);
-            cols.main.push_from(&parts[k], i, id);
-            let next = (cursors[k] < parts[k].len())
-                .then(|| (parts[k].start[cursors[k]], addrs[k][cursors[k]]));
-            tree.replace(k, next);
-        }
-    }
-
     /// The consolidated column block of one source (crate-internal scan
     /// surface; consolidates pending runs first).
     pub(crate) fn block(&self, source: EventSource) -> BlockRef<'_> {
@@ -940,7 +867,7 @@ impl Deref for IndexRef<'_> {
 /// and iteration hand back values, not references, so call sites that
 /// previously iterated `&[AttackEvent]` keep working with at most a
 /// dropped `&`/`.cloned()`. Equality against other views and against
-/// event slices compares decoded rows, which keeps the serial-vs-sharded
+/// event slices compares decoded rows, which keeps the row-vs-column
 /// equivalence assertions byte-for-byte meaningful.
 ///
 /// A view pins the source consolidated: it holds a read guard on the

@@ -11,6 +11,11 @@
 //! — a [`StreamingFusion::snapshot`] at any instant reflects everything
 //! ingested so far, without re-scanning history.
 //!
+//! The engine is one serial value: it owns every accumulator and
+//! resolves each target's origin AS through a single [`Enricher`] cache.
+//! The detectors run sharded on worker pools; fusion, a handful of set
+//! updates per event, does not.
+//!
 //! # Costs
 //!
 //! * **Snapshot: O(1).** Every figure is a counter or a set length. The
@@ -43,8 +48,8 @@
 //!   but not in [`StreamingFusion::daily_attacks`] or
 //!   [`StreamingFusion::targets_on`].
 //!
-//! Both counters are registered when a [`FusionState`] is built, so a
-//! clean run exports them as zeros.
+//! Both counters are registered when a [`StreamingFusion`] is built, so
+//! a clean run exports them as zeros.
 
 use crate::enrich::Enricher;
 use crate::store::SourceSummary;
@@ -124,13 +129,9 @@ pub struct StreamingSnapshot {
     pub last_day: Option<DayIndex>,
 }
 
-/// The fusion accumulators themselves, with no tie to the metadata
-/// databases: an owned, `'static`, [`Send`] value, so a sharded engine can
-/// move one onto each long-lived pool worker (see
-/// [`crate::sharded::ShardedFusion`]). The caller supplies the target's
-/// origin AS with each event — [`StreamingFusion`] resolves it through the
-/// shared [`Enricher`] cache, pool workers through a worker-local memo.
-pub struct FusionState {
+/// The incremental fusion engine.
+pub struct StreamingFusion<'a> {
+    enricher: Enricher<'a>,
     tele: SourceAccum,
     hp: SourceAccum,
     /// Targets in both `tele.targets` and `hp.targets`.
@@ -143,19 +144,18 @@ pub struct FusionState {
     newest_start: u64,
 }
 
-/// The incremental fusion engine.
-pub struct StreamingFusion<'a> {
-    enricher: Enricher<'a>,
-    state: FusionState,
-}
-
-impl FusionState {
-    /// Empty accumulators covering `days`.
-    pub fn new(days: u32) -> FusionState {
+impl<'a> StreamingFusion<'a> {
+    /// A fusion engine over the metadata databases, covering `days`.
+    pub fn new(
+        geo: &'a dosscope_geo::GeoDb,
+        asdb: &'a dosscope_geo::AsDb,
+        days: u32,
+    ) -> StreamingFusion<'a> {
         // Registered up front so a run without drops exports zeros.
         dosscope_obs::counter!("fusion.late_events");
         dosscope_obs::counter!("fusion.out_of_window");
-        FusionState {
+        StreamingFusion {
+            enricher: Enricher::new(geo, asdb),
             tele: SourceAccum::default(),
             hp: SourceAccum::default(),
             common_targets: 0,
@@ -173,10 +173,15 @@ impl FusionState {
         self.newest_start.saturating_sub(PRUNE_HORIZON_SECS)
     }
 
-    /// Ingest one event, with the target's origin AS already resolved.
-    pub fn push(&mut self, event: &AttackEvent, asn: Option<u32>) {
-        // Telemetry mirror; the serial and sharded fusion both funnel
-        // every event through here exactly once.
+    /// Ingest one event as it is emitted by either detector.
+    pub fn push(&mut self, event: &AttackEvent) {
+        let (_, asn) = self.enricher.lookup(event.target);
+        self.push_with_asn(event, asn.map(|a| a.0));
+    }
+
+    /// [`StreamingFusion::push`] with the target's origin AS already
+    /// resolved.
+    fn push_with_asn(&mut self, event: &AttackEvent, asn: Option<u32>) {
         dosscope_obs::counter!("fusion.events").inc();
         let start = event.when.start.secs();
         if start < self.cutoff() {
@@ -252,55 +257,12 @@ impl FusionState {
         &self.daily_attacks
     }
 
-    /// The distinct targeted ASNs so far (both sources). Crate-visible so
-    /// the sharded merge ([`crate::sharded::ShardedFusion`]) can union the
-    /// sets: an AS spans /16s and therefore shards, so per-shard counts
-    /// must not simply be summed.
-    pub(crate) fn combined_asn_set(&self) -> &FastSet<u32> {
-        &self.combined_asns
-    }
-
     /// Unique targets on one day so far.
     pub fn targets_on(&self, day: DayIndex) -> u64 {
         self.daily_targets
             .get(day.0 as usize)
             .map(|s| s.len() as u64)
             .unwrap_or(0)
-    }
-}
-
-impl<'a> StreamingFusion<'a> {
-    /// A fusion engine over the metadata databases, covering `days`.
-    pub fn new(
-        geo: &'a dosscope_geo::GeoDb,
-        asdb: &'a dosscope_geo::AsDb,
-        days: u32,
-    ) -> StreamingFusion<'a> {
-        StreamingFusion {
-            enricher: Enricher::new(geo, asdb),
-            state: FusionState::new(days),
-        }
-    }
-
-    /// Ingest one event as it is emitted by either detector.
-    pub fn push(&mut self, event: &AttackEvent) {
-        let (_, asn) = self.enricher.lookup(event.target);
-        self.state.push(event, asn.map(|a| a.0));
-    }
-
-    /// The current fused state.
-    pub fn snapshot(&self) -> StreamingSnapshot {
-        self.state.snapshot()
-    }
-
-    /// Attacks per day ingested so far.
-    pub fn daily_attacks(&self) -> &TimeSeries {
-        self.state.daily_attacks()
-    }
-
-    /// Unique targets on one day so far.
-    pub fn targets_on(&self, day: DayIndex) -> u64 {
-        self.state.targets_on(day)
     }
 }
 
@@ -445,15 +407,16 @@ mod tests {
     fn late_events_are_counted() {
         let _telemetry = dosscope_obs::testing::scoped_enable();
         let day = 86_400;
-        let mut s = FusionState::new(30);
-        s.push(&tele("10.0.0.1", 10 * day, 10 * day + 600), None);
+        let (geo, asdb) = (GeoDb::new(), AsDb::new());
+        let mut s = StreamingFusion::new(&geo, &asdb, 30);
+        s.push(&tele("10.0.0.1", 10 * day, 10 * day + 600));
         // The cutoff is now day 6: an event starting there is in time.
-        s.push(&hp("10.0.0.1", 6 * day, 6 * day + 600), None);
-        s.push(&hp("10.0.0.2", 6 * day - 1, 6 * day + 600), None);
-        s.push(&tele("10.0.0.3", day, 2 * day), None);
+        s.push(&hp("10.0.0.1", 6 * day, 6 * day + 600));
+        s.push(&hp("10.0.0.2", 6 * day - 1, 6 * day + 600));
+        s.push(&tele("10.0.0.3", day, 2 * day));
         // Moving the newest start makes the same start late only now.
-        s.push(&hp("10.0.0.4", 12 * day, 12 * day + 1), None);
-        s.push(&tele("10.0.0.5", 8 * day - 1, 8 * day), None);
+        s.push(&hp("10.0.0.4", 12 * day, 12 * day + 1));
+        s.push(&tele("10.0.0.5", 8 * day - 1, 8 * day));
         assert_eq!(count("fusion.late_events"), 3);
         assert_eq!(count("fusion.out_of_window"), 0);
         assert_eq!(s.snapshot().combined_events, 6);
@@ -463,11 +426,12 @@ mod tests {
     fn out_of_window_events_are_counted() {
         let _telemetry = dosscope_obs::testing::scoped_enable();
         let day = 86_400;
-        let mut s = FusionState::new(2);
-        s.push(&tele("10.0.0.1", 100, 500), None);
-        s.push(&hp("10.0.0.2", day + 100, day + 500), None);
-        s.push(&tele("10.0.0.3", 2 * day, 2 * day + 500), None);
-        s.push(&hp("10.0.0.4", 5 * day + 7, 5 * day + 500), None);
+        let (geo, asdb) = (GeoDb::new(), AsDb::new());
+        let mut s = StreamingFusion::new(&geo, &asdb, 2);
+        s.push(&tele("10.0.0.1", 100, 500));
+        s.push(&hp("10.0.0.2", day + 100, day + 500));
+        s.push(&tele("10.0.0.3", 2 * day, 2 * day + 500));
+        s.push(&hp("10.0.0.4", 5 * day + 7, 5 * day + 500));
         assert_eq!(count("fusion.out_of_window"), 2);
         assert_eq!(count("fusion.late_events"), 0);
         // Dropped from the daily series only: the aggregates keep them.
@@ -591,9 +555,10 @@ mod tests {
             #[test]
             fn snapshots_match_brute_force(specs in proptest::collection::vec(arb_spec(), 1..80)) {
                 let events = stream(&specs);
-                let mut s = FusionState::new(DAYS);
+                let (geo, asdb) = (GeoDb::new(), AsDb::new());
+                let mut s = StreamingFusion::new(&geo, &asdb, DAYS);
                 for (i, (e, a)) in events.iter().enumerate() {
-                    s.push(e, *a);
+                    s.push_with_asn(e, *a);
                     let expect = brute_force(&events[..=i]);
                     prop_assert_eq!(format!("{:?}", s.snapshot()), format!("{expect:?}"));
                 }
@@ -618,10 +583,11 @@ mod tests {
             #[test]
             fn live_windows_stay_within_the_horizon(specs in proptest::collection::vec(arb_spec(), 1..200)) {
                 let events = stream(&specs);
-                let mut s = FusionState::new(DAYS);
+                let (geo, asdb) = (GeoDb::new(), AsDb::new());
+                let mut s = StreamingFusion::new(&geo, &asdb, DAYS);
                 let mut newest = 0u64;
                 for (i, (e, a)) in events.iter().enumerate() {
-                    s.push(e, *a);
+                    s.push_with_asn(e, *a);
                     newest = newest.max(e.when.start.0);
                     let cutoff = newest.saturating_sub(PRUNE_HORIZON_SECS);
                     for (source, accum) in [(EventSource::Telescope, &s.tele), (EventSource::Honeypot, &s.hp)] {

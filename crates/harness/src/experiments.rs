@@ -1,10 +1,11 @@
 //! Regeneration of every table and figure, and comparison against the
 //! paper's published values.
 //!
-//! [`run_all`] produces the full text report; [`compare`] produces the
-//! paper-vs-measured rows recorded in EXPERIMENTS.md. Checks compare
-//! shares, shapes and rankings — absolute counts are scale-dependent and
-//! reported scale-normalized.
+//! [`Experiments::run`] builds every table and figure and
+//! [`Experiments::render_report`] renders the full text report;
+//! [`Experiments::compare`] produces the paper-vs-measured rows recorded
+//! in EXPERIMENTS.md. Checks compare shares, shapes and rankings —
+//! absolute counts are scale-dependent and reported scale-normalized.
 
 use crate::paper;
 use crate::scenario::World;
@@ -775,7 +776,7 @@ impl<'a> Experiments<'a> {
 
     /// Scale invariance: the reproduction's shape metrics at one scale.
     /// The substitution argument (DESIGN.md §2) rests on shares and shapes
-    /// being scale-invariant; [`key_shares`] extracts the metrics and the
+    /// being scale-invariant; this extracts the metrics and the
     /// integration suite verifies their stability across scales.
     pub fn key_shares(world: &World) -> KeyShares {
         let fw = world.framework();

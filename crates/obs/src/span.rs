@@ -2,7 +2,7 @@
 //! common-case recording and a hierarchical rollup at snapshot time.
 //!
 //! Span names are `'static` dot-separated paths (`"stage.render"`,
-//! `"fusion.join"`). Each thread keeps its own statistics map (guarded
+//! `"report.render"`). Each thread keeps its own statistics map (guarded
 //! by a mutex that is uncontended except during snapshots); a snapshot
 //! merges all threads and aggregates *self* time under every dot-prefix
 //! so `stage` reports the cumulative cost of all `stage.*` spans without

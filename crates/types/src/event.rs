@@ -209,30 +209,8 @@ impl AttackVector {
     }
 }
 
-/// Audit hook for the zero-copy guarantee of the sharded ingest path:
-/// every [`AttackEvent::clone`] bumps a process-global counter in debug
-/// builds, so a test can pin that routing events to shards and merging
-/// shard stores never copies a single event struct.
-#[cfg(debug_assertions)]
-pub mod clone_audit {
-    use std::sync::atomic::{AtomicU64, Ordering};
-
-    static EVENT_CLONES: AtomicU64 = AtomicU64::new(0);
-
-    pub(super) fn record() {
-        EVENT_CLONES.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Total [`super::AttackEvent`] clones performed by this process so
-    /// far. The counter is process-global, so tests comparing before and
-    /// after a code path must run in their own test binary.
-    pub fn event_clones() -> u64 {
-        EVENT_CLONES.load(Ordering::Relaxed)
-    }
-}
-
 /// A single inferred DoS attack event, the unit of all analyses.
-#[derive(Debug, PartialEq)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AttackEvent {
     /// The victim IP address (for backscatter: the source of response
     /// packets; for honeypots: the spoofed request source).
@@ -254,25 +232,6 @@ pub struct AttackEvent {
     /// Number of distinct (spoofed) source addresses observed, an auxiliary
     /// statistic of the Moore et al. classifier.
     pub distinct_sources: u32,
-}
-
-// Manual so debug builds can count clones (see [`clone_audit`]): the
-// sharded pipeline promises a zero-copy handoff, and a derived `Clone`
-// would be invisible to that audit.
-impl Clone for AttackEvent {
-    fn clone(&self) -> Self {
-        #[cfg(debug_assertions)]
-        clone_audit::record();
-        AttackEvent {
-            target: self.target,
-            when: self.when,
-            vector: self.vector,
-            packets: self.packets,
-            bytes: self.bytes,
-            intensity_pps: self.intensity_pps,
-            distinct_sources: self.distinct_sources,
-        }
-    }
 }
 
 impl AttackEvent {

@@ -271,9 +271,8 @@ mod tests {
         );
     }
 
-    /// Merging per-shard sets into a snapshot must not depend on the
-    /// order the shards are visited — the sharded store's snapshot merge
-    /// relies on this.
+    /// Unioning several sets must not depend on the order they are
+    /// visited: `union_with` is commutative and associative, bit for bit.
     #[test]
     fn snapshot_merge_deterministic_across_shard_orders() {
         let shard_bits: [&[u32]; 4] = [

@@ -5,8 +5,9 @@
 //! `Vec` clones. Correct, but the bench showed it *negatively* scaling:
 //! thread spawn/join per chunk, an allocation per (chunk × shard), and a
 //! reference-count bump plus cross-thread drop per batch. This module
-//! replaces that design with the architecture all three sharded layers
-//! (telescope, honeypot fleet, fusion) now share:
+//! replaces that design with the architecture the sharded detector
+//! stages (telescope, honeypot fleet) and the store's parallel
+//! consolidation share:
 //!
 //! * **long-lived workers** — [`ShardPool::new`] spawns the worker
 //!   threads once; each worker *owns* a slice of the per-shard states for
@@ -17,7 +18,7 @@
 //!   dispatcher instead of letting queues grow without bound;
 //! * **zero-copy batch routing** — a chunk is shared as one
 //!   [`Routed`] view (`Arc`'d item vector + per-shard index lists built
-//!   by the stage's `shard_of` key); dispatch hands every worker the same
+//!   by the stage's shard key); dispatch hands every worker the same
 //!   two pointers instead of cloning batches into per-shard vectors;
 //! * **explicit barriers** — [`ShardPool::barrier`] runs a closure on
 //!   every shard state after all previously dispatched batches, which is
@@ -415,25 +416,6 @@ where
             }
         }
         if dead {
-            self.propagate_worker_panic();
-        }
-        Ok(())
-    }
-
-    /// Dispatch one batch to the single worker owning `shard` (the worker
-    /// still processes it against every shard it owns; routing inside the
-    /// batch decides what each shard sees). Cheaper than a full dispatch
-    /// when the batch is known to touch one shard.
-    pub fn dispatch_to(&mut self, shard: usize, batch: B) -> Result<(), PoolError> {
-        if self.down {
-            return Err(PoolError::ShutDown);
-        }
-        assert!(shard < self.shards, "shard index out of range");
-        self.metrics.dispatches.fetch_add(1, Ordering::Relaxed);
-        let w = shard % self.lanes.len();
-        let tx = self.lanes[w].tx.as_ref().expect("live pool lane has a sender");
-        self.metrics.enqueue(w);
-        if tx.send(Job::Batch(Arc::new(batch))).is_err() {
             self.propagate_worker_panic();
         }
         Ok(())
@@ -846,8 +828,12 @@ mod tests {
 
     #[test]
     fn disabled_telemetry_records_no_wall_time() {
-        // No scoped_enable: telemetry is off, so the pool must never
-        // read the clock — but the always-on counters still work.
+        // Telemetry is off, so the pool must never read the clock — but
+        // the always-on counters still work. The test lock is held with
+        // collection switched back off, so no concurrent test can turn
+        // it on while this pool runs.
+        let _t = dosscope_obs::testing::scoped_enable();
+        dosscope_obs::set_enabled(false);
         let mut pool = probe_pool(2, 2);
         pool.dispatch(route(vec![0, 1], 2)).unwrap();
         pool.barrier(|s: &mut Probe| s.batches).unwrap();
@@ -895,19 +881,5 @@ mod tests {
             gauges.iter().any(|(k, v)| k == "pool.crashy.dispatches" && *v >= 2),
             "partial snapshot published on the panic path"
         );
-    }
-
-    #[test]
-    fn dispatch_to_reaches_the_owning_worker_only() {
-        let mut pool = probe_pool(4, 2);
-        pool.dispatch_to(2, route(vec![2, 6], 4)).unwrap();
-        pool.dispatch_to(1, route(vec![5], 4)).unwrap();
-        let outs = pool.shutdown().unwrap();
-        assert_eq!(outs[2].0, vec![2, 6]);
-        assert_eq!(outs[1].0, vec![5]);
-        // Shard 0 shares worker 0 with shard 2, so it saw that batch (and
-        // owned nothing in it); shard 3 shares worker 1 with shard 1.
-        assert_eq!(outs[0].0, Vec::<u32>::new());
-        assert_eq!(outs[3].0, Vec::<u32>::new());
     }
 }

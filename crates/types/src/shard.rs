@@ -1,19 +1,17 @@
-//! The target-IP shard key shared by every parallel pipeline stage.
+//! The target-IP shard key of the parallel detector stages.
 //!
-//! Work is partitioned by the target's /16 prefix. That specific key is
-//! what makes the sharded aggregates *exactly* additive: every address of
-//! a /16 — and therefore of every /24 inside it — lands in the same
-//! shard, so per-shard distinct-target, distinct-/24 and distinct-/16
-//! counts can be summed without double counting. Anything coarser than a
-//! /16 (an AS, a country) can span shards and must be merged as a set
-//! union instead.
+//! Work is partitioned by the complete victim address. All detector state
+//! (flow-table entries, open events, reply rate limits) is keyed by that
+//! address and the detector merges only sum counters, so the finest
+//! spread is safe: the victims inside one hot hosting /16 spread across
+//! every shard instead of serialising on one.
 //!
-//! The prefix is scrambled with a fixed odd multiplier before the modulo:
-//! address space is allocated in runs (a hoster's adjacent /16s differ
-//! only in the low prefix bits), so a plain `% shards` would stripe those
-//! runs onto the same few shards and the busiest shard would bound the
-//! whole pipeline. The multiply mixes every prefix bit into the high
-//! word, is stable across runs and platforms, and keeps each /16 whole.
+//! The address is scrambled with a fixed odd multiplier before the
+//! modulo: address space is allocated in runs (a hoster's adjacent
+//! prefixes differ only in a few bits), so a plain `% shards` would
+//! stripe those runs onto the same few shards and the busiest shard
+//! would bound the whole pipeline. The multiply mixes every address bit
+//! into the high word and is stable across runs and platforms.
 
 use std::net::Ipv4Addr;
 
@@ -22,22 +20,7 @@ use std::net::Ipv4Addr;
 const MIX: u32 = 0x9E37_79B1;
 
 /// The shard an address belongs to, out of `shards` (`shards = 0` is
-/// treated as 1). Deterministic pure arithmetic on the /16 prefix bits.
-pub fn shard_of(addr: Ipv4Addr, shards: usize) -> usize {
-    if shards <= 1 {
-        return 0;
-    }
-    let prefix = u32::from(addr) >> 16;
-    (prefix.wrapping_mul(MIX) >> 16) as usize % shards
-}
-
-/// The shard an address belongs to when full-address spreading is safe:
-/// all 32 bits are mixed, so the victims inside one hot /16 (a busy
-/// hosting prefix) spread across every shard instead of serialising on
-/// one. Only for stages whose state is keyed by the *complete* victim
-/// address and whose merge never counts prefixes per shard — the
-/// detector engines qualify, the fusion aggregates (distinct /24 and /16
-/// counts) do not and must keep [`shard_of`].
+/// treated as 1). Deterministic pure arithmetic on all 32 address bits.
 pub fn shard_of_addr(addr: Ipv4Addr, shards: usize) -> usize {
     if shards <= 1 {
         return 0;
@@ -50,22 +33,13 @@ mod tests {
     use super::*;
 
     #[test]
-    fn slash16_stays_whole() {
-        for shards in 1..=16 {
-            let a = shard_of("203.0.113.9".parse().unwrap(), shards);
-            let b = shard_of("203.0.200.250".parse().unwrap(), shards);
-            assert_eq!(a, b, "same /16 must map to one shard ({shards} shards)");
-        }
-    }
-
-    #[test]
     fn shards_cover_range() {
         let shards = 8;
         let mut seen = vec![false; shards];
         for hi in 0..=255u32 {
             for lo in 0..32u32 {
                 let addr = Ipv4Addr::from((hi << 24) | (lo << 16));
-                let s = shard_of(addr, shards);
+                let s = shard_of_addr(addr, shards);
                 assert!(s < shards);
                 seen[s] = true;
             }
@@ -76,7 +50,7 @@ mod tests {
     #[test]
     fn degenerate_counts() {
         let addr: Ipv4Addr = "10.1.2.3".parse().unwrap();
-        assert_eq!(shard_of(addr, 0), 0);
-        assert_eq!(shard_of(addr, 1), 0);
+        assert_eq!(shard_of_addr(addr, 0), 0);
+        assert_eq!(shard_of_addr(addr, 1), 0);
     }
 }

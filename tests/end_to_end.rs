@@ -3,11 +3,17 @@
 //! report — at a reduced scale.
 
 use dosscope_core::report::{Table1, Table2, Table3, Table4, Table5, Table6, Table7, Table8};
+use dosscope_core::streaming::StreamingFusion;
 use dosscope_core::{Enricher, JointAnalysis};
-use dosscope_harness::{Scenario, ScenarioConfig};
-use dosscope_types::{EventSource, SECS_PER_DAY};
+use dosscope_harness::{Scenario, ScenarioConfig, World};
+use dosscope_types::{AttackEvent, EventSource, SECS_PER_DAY};
+use proptest::prelude::*;
+use rand::rngs::SmallRng;
+use rand::{Rng, SeedableRng};
+use std::collections::BTreeSet;
+use std::sync::OnceLock;
 
-fn world() -> dosscope_harness::World {
+fn world() -> World {
     Scenario::run(&ScenarioConfig::test_small())
 }
 
@@ -205,6 +211,75 @@ fn streaming_fusion_matches_batch() {
     let enricher = Enricher::new(fw.geo, fw.asdb);
     let joint = JointAnalysis::run(fw.store, &enricher);
     assert_eq!(snap.joint_targets, joint.joint_targets);
+    // Scenario targets resolve to real origin ASes: the fused ASN count
+    // is the number of distinct origin ASes over every stored target.
+    let asns: BTreeSet<u32> = all
+        .iter()
+        .filter_map(|e| enricher.lookup(e.target).1)
+        .map(|a| a.0)
+        .collect();
+    assert!(snap.asns > 1, "scenario events map to real ASNs");
+    assert_eq!(snap.asns, asns.len() as u64);
+    assert_eq!(snap.combined_targets, world.store.summary_combined().targets);
+    assert_eq!(snap.last_day, all.iter().map(|e| e.when.start.day()).max());
+}
+
+/// The disorder bound of `StreamingFusion`: an event starting no more
+/// than this before the newest start seen is correlated exactly.
+const HORIZON_SECS: u64 = 4 * SECS_PER_DAY;
+
+/// The scenario's events in a bounded-disorder arrival order. Each event
+/// arrives at its start plus a jitter in `[0, HORIZON_SECS]` (a quarter
+/// of them at the full horizon), so an event that arrives after another
+/// starts at most the horizon before it.
+fn bounded_disorder(world: &World, seed: u64) -> Vec<AttackEvent> {
+    let mut rng = SmallRng::seed_from_u64(seed);
+    let mut keyed: Vec<(u64, AttackEvent)> = world
+        .store
+        .telescope()
+        .iter()
+        .chain(world.store.honeypot())
+        .map(|e| {
+            let jitter = if rng.gen_bool(0.25) {
+                HORIZON_SECS
+            } else {
+                rng.gen_range(0..=HORIZON_SECS)
+            };
+            (e.when.start.secs() + jitter, e)
+        })
+        .collect();
+    keyed.sort_by_key(|(arrival, e)| (*arrival, e.when.start, e.target));
+    keyed.into_iter().map(|(_, e)| e).collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(4))]
+
+    /// Streaming semantics against the batch analysis: under any arrival
+    /// order that keeps every event within the horizon of start order,
+    /// the streaming joint targets equal `JointAnalysis`'s and no event
+    /// is counted late.
+    #[test]
+    fn streaming_joint_targets_match_batch_under_bounded_disorder(seed in any::<u64>()) {
+        static WORLD: OnceLock<World> = OnceLock::new();
+        let world = WORLD.get_or_init(world);
+        let arrivals = bounded_disorder(world, seed);
+        prop_assert!(
+            arrivals.windows(2).any(|w| w[1].when.start < w[0].when.start),
+            "the permutation reorders some events"
+        );
+
+        let _telemetry = dosscope_obs::testing::scoped_enable();
+        let mut streaming = StreamingFusion::new(&world.geo, &world.asdb, world.days);
+        for e in &arrivals {
+            streaming.push(e);
+        }
+        let late = dosscope_obs::registry::counter("fusion.late_events").value();
+        let enricher = Enricher::new(&world.geo, &world.asdb);
+        let joint = JointAnalysis::run(&world.store, &enricher);
+        prop_assert_eq!(streaming.snapshot().joint_targets, joint.joint_targets);
+        prop_assert_eq!(late, 0);
+    }
 }
 
 #[test]

@@ -1,211 +1,10 @@
-//! Serial-equivalence harness for the sharded parallel pipeline: the
-//! headline guarantee is that for any seed and any thread count the
-//! pipeline produces *byte-identical* results.
-//!
-//! Three layers of evidence:
-//!
-//! 1. property tests over random synthetic event streams: snapshots,
-//!    store aggregates and the joint correlation are invariant to the
-//!    shard count;
-//! 2. the streaming fusion over real scenario events (exercising the ASN
-//!    set-union merge against real enrichment data);
-//! 3. full scenario runs for three seeds and threads ∈ {1, 2, 8},
-//!    comparing the complete rendered reproduction report byte for byte.
+//! Serial-equivalence harness for the sharded detector pipelines: for any
+//! seed and any thread count the pipeline produces *byte-identical*
+//! results. Full scenario runs for three seeds and threads ∈ {1, 2, 8}
+//! compare the complete rendered reproduction report byte for byte.
 
-use dosscope_core::streaming::StreamingFusion;
-use dosscope_core::{
-    Enricher, EventStore, JointAnalysis, ShardedEventStore, ShardedFusion,
-};
-use dosscope_geo::{AsDb, GeoDb};
 use dosscope_harness::experiments::Experiments;
 use dosscope_harness::{Scenario, ScenarioConfig};
-use dosscope_types::{
-    AttackEvent, AttackVector, EventSource, PortSignature, ReflectionProtocol, SimTime,
-    TimeRange, TransportProto,
-};
-use proptest::prelude::*;
-
-/// Build one synthetic event from raw draws. `a` selects the /16 (the
-/// shard key), `b` the host, so streams cover many shards with repeated
-/// targets (needed for common/joint populations).
-fn build_event((a, b, start, dur, is_tele): (u8, u8, u64, u64, bool)) -> AttackEvent {
-    let target = std::net::Ipv4Addr::new(10, a % 23, b % 11, 7);
-    let when = TimeRange::new(SimTime(start), SimTime(start + dur));
-    if is_tele {
-        AttackEvent {
-            target,
-            when,
-            vector: AttackVector::RandomlySpoofed {
-                proto: if b % 3 == 0 {
-                    TransportProto::Udp
-                } else {
-                    TransportProto::Tcp
-                },
-                ports: if b % 2 == 0 {
-                    PortSignature::Single(80)
-                } else {
-                    PortSignature::Multi(2 + (b % 5) as u32)
-                },
-            },
-            packets: 25 + b as u64,
-            bytes: 1000 + a as u64,
-            intensity_pps: 0.5 + a as f64,
-            distinct_sources: 1 + b as u32,
-        }
-    } else {
-        AttackEvent {
-            target,
-            when,
-            vector: AttackVector::Reflection {
-                protocol: match a % 3 {
-                    0 => ReflectionProtocol::Ntp,
-                    1 => ReflectionProtocol::Dns,
-                    _ => ReflectionProtocol::CharGen,
-                },
-            },
-            packets: 101 + b as u64,
-            bytes: 5000 + a as u64,
-            intensity_pps: 1.0 + b as f64,
-            distinct_sources: 1 + (a % 24) as u32,
-        }
-    }
-}
-
-fn raw_stream() -> impl Strategy<Value = Vec<(u8, u8, u64, u64, bool)>> {
-    proptest::collection::vec(
-        (
-            any::<u8>(),
-            any::<u8>(),
-            0u64..700 * 86_400,
-            60u64..90_000,
-            any::<bool>(),
-        ),
-        1..150,
-    )
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
-
-    #[test]
-    fn fusion_snapshot_is_shard_count_invariant(raw in raw_stream(), shards in 1usize..9) {
-        let mut events: Vec<AttackEvent> = raw.into_iter().map(build_event).collect();
-        events.sort_by_key(|e| (e.when.start, e.target));
-        let geo = GeoDb::new();
-        let asdb = AsDb::new();
-        let mut serial = StreamingFusion::new(&geo, &asdb, 731);
-        for e in &events {
-            serial.push(e);
-        }
-        let expect = serial.snapshot();
-        let mut sharded = ShardedFusion::new(std::sync::Arc::new(asdb.clone()), 731, shards);
-        sharded.push_all(&events);
-        let snap = sharded.snapshot();
-        prop_assert_eq!(snap.telescope, expect.telescope);
-        prop_assert_eq!(snap.honeypot, expect.honeypot);
-        prop_assert_eq!(snap.combined_targets, expect.combined_targets);
-        prop_assert_eq!(snap.combined_events, expect.combined_events);
-        prop_assert_eq!(snap.common_targets, expect.common_targets);
-        prop_assert_eq!(snap.joint_targets, expect.joint_targets);
-        prop_assert_eq!(snap.asns, expect.asns);
-        prop_assert_eq!(snap.last_day, expect.last_day);
-        let merged_daily = sharded.daily_attacks();
-        prop_assert_eq!(merged_daily.values(), serial.daily_attacks().values());
-    }
-
-    #[test]
-    fn store_aggregates_are_shard_count_invariant(raw in raw_stream(), shards in 1usize..9) {
-        let events: Vec<AttackEvent> = raw.into_iter().map(build_event).collect();
-        let tele: Vec<AttackEvent> = events
-            .iter()
-            .filter(|e| e.source() == EventSource::Telescope)
-            .cloned()
-            .collect();
-        let hp: Vec<AttackEvent> = events
-            .iter()
-            .filter(|e| e.source() == EventSource::Honeypot)
-            .cloned()
-            .collect();
-
-        let mut serial = EventStore::new();
-        serial.ingest_telescope(tele.clone());
-        serial.ingest_honeypot(hp.clone());
-
-        let mut sharded = ShardedEventStore::new(shards);
-        sharded.ingest_telescope(tele);
-        sharded.ingest_honeypot(hp);
-
-        prop_assert_eq!(sharded.len(), serial.len());
-        prop_assert_eq!(
-            sharded.summary(EventSource::Telescope),
-            serial.summary(EventSource::Telescope)
-        );
-        prop_assert_eq!(
-            sharded.summary(EventSource::Honeypot),
-            serial.summary(EventSource::Honeypot)
-        );
-        prop_assert_eq!(sharded.summary_combined(), serial.summary_combined());
-        prop_assert_eq!(sharded.common_targets(), serial.common_targets());
-
-        // The merged store is the serial store, element for element — so
-        // the joint correlation agrees on every statistic.
-        let merged = sharded.into_store();
-        prop_assert_eq!(merged.telescope(), serial.telescope());
-        prop_assert_eq!(merged.honeypot(), serial.honeypot());
-        let geo = GeoDb::new();
-        let asdb = AsDb::new();
-        let enricher = Enricher::new(&geo, &asdb);
-        let a = JointAnalysis::run(&serial, &enricher);
-        let b = JointAnalysis::run(&merged, &enricher);
-        prop_assert_eq!(a.common_targets, b.common_targets);
-        prop_assert_eq!(a.joint_targets, b.joint_targets);
-        prop_assert_eq!(a.joint_pairs, b.joint_pairs);
-        prop_assert_eq!(a.single_port_share, b.single_port_share);
-        prop_assert_eq!(a.tcp_http_share, b.tcp_http_share);
-        prop_assert_eq!(a.udp_27015_share, b.udp_27015_share);
-        prop_assert_eq!(a.reflection_shares, b.reflection_shares);
-    }
-}
-
-/// The fusion merge against *real* enrichment data: scenario events have
-/// real ASNs, so this is the test that distinguishes the (correct) ASN
-/// set union from the (incorrect) per-shard sum — an AS spans /16s.
-#[test]
-fn sharded_fusion_matches_serial_on_scenario_events() {
-    let world = Scenario::run(&ScenarioConfig {
-        scale: 50_000.0,
-        ..ScenarioConfig::default()
-    });
-    let mut all: Vec<AttackEvent> = world
-        .store
-        .telescope()
-        .iter()
-        .chain(world.store.honeypot())
-        .collect();
-    all.sort_by_key(|e| (e.when.start, e.target));
-
-    let asdb = std::sync::Arc::new(world.asdb.clone());
-    let mut serial = StreamingFusion::new(&world.geo, &world.asdb, world.days);
-    for e in &all {
-        serial.push(e);
-    }
-    let expect = serial.snapshot();
-    assert!(expect.asns > 1, "scenario events map to real ASNs");
-
-    for shards in [1, 2, 8] {
-        let mut sharded = ShardedFusion::new(asdb.clone(), world.days, shards);
-        sharded.push_all(&all);
-        let snap = sharded.snapshot();
-        assert_eq!(snap.telescope, expect.telescope, "{shards} shards");
-        assert_eq!(snap.honeypot, expect.honeypot);
-        assert_eq!(snap.combined_targets, expect.combined_targets);
-        assert_eq!(snap.combined_events, expect.combined_events);
-        assert_eq!(snap.common_targets, expect.common_targets);
-        assert_eq!(snap.joint_targets, expect.joint_targets);
-        assert_eq!(snap.asns, expect.asns, "{shards} shards: ASN union");
-        assert_eq!(snap.last_day, expect.last_day);
-    }
-}
 
 /// The acceptance check: full scenario runs for three seeds, rendered to
 /// the complete reproduction report, must be byte-identical for

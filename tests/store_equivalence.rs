@@ -6,7 +6,7 @@
 //! `(start, target)` — and every analysis the repo runs over the store is
 //! recomputed here from the raw rows with the most naive algorithm that
 //! is obviously correct. Property tests then drive both stores with
-//! arbitrary event sets (random seeds × shard counts) and assert that
+//! arbitrary event sets (random streams × batch splits) and assert that
 //! fusion outputs, Table aggregates and per-victim histories agree
 //! exactly; deterministic edge cases (empty store, single event,
 //! one-victim pileups, duplicate timestamps) pin the boundaries.
@@ -14,7 +14,7 @@
 use dosscope_core::report::{Table1, Table5, Table6, Table7};
 use dosscope_core::streaming::StreamingFusion;
 use dosscope_core::{
-    Enricher, EventStore, Framework, JointAnalysis, ShardedEventStore, SourceSummary,
+    Enricher, EventStore, Framework, JointAnalysis, SourceSummary,
 };
 use dosscope_geo::{AsDb, GeoDb};
 use dosscope_types::{
@@ -210,7 +210,7 @@ impl RowJoint {
 // Event generation: arbitrary mixed-source streams over a few /16s.
 // ---------------------------------------------------------------------------
 
-/// Build one event from raw draws. `a` picks the /16 (the shard key), `b`
+/// Build one event from raw draws. `a` picks the /16, `b`
 /// the host — repeated targets are needed for joint/common populations —
 /// and the remaining draws cover every vector shape the kind encoding
 /// flattens.
@@ -411,7 +411,7 @@ fn build_both(
 }
 
 // ---------------------------------------------------------------------------
-// Property tests: arbitrary event sets × batch splits × shard counts.
+// Property tests: arbitrary event sets × batch splits.
 // ---------------------------------------------------------------------------
 
 proptest! {
@@ -421,19 +421,6 @@ proptest! {
     fn columnar_store_matches_row_store(raw in raw_stream(), batches in 1usize..4) {
         let (tele, hp) = split(raw.into_iter().map(build_event).collect());
         let (rows, store) = build_both(tele, hp, batches);
-        assert_equivalent(&rows, &store);
-    }
-
-    #[test]
-    fn sharded_store_matches_row_store(raw in raw_stream(), shards in 1usize..9) {
-        let (tele, hp) = split(raw.into_iter().map(build_event).collect());
-        let mut rows = RowStore::default();
-        rows.ingest_telescope(tele.clone());
-        rows.ingest_honeypot(hp.clone());
-        let mut sharded = ShardedEventStore::new(shards);
-        sharded.ingest_telescope(tele);
-        sharded.ingest_honeypot(hp);
-        let store = sharded.into_store();
         assert_equivalent(&rows, &store);
     }
 }
@@ -526,7 +513,7 @@ fn duplicate_timestamps_are_equivalent() {
 // ---------------------------------------------------------------------------
 // Adversarial ingest orderings for the sorted-run layout: batch sequences
 // chosen to defeat the in-order fast path so every read goes through the
-// k-way consolidation, serial and sharded.
+// k-way consolidation.
 // ---------------------------------------------------------------------------
 
 #[test]
@@ -553,27 +540,23 @@ fn reverse_time_batches_are_equivalent() {
 
     let mut rows = RowStore::default();
     let mut store = EventStore::new();
-    let mut sharded = ShardedEventStore::new(3);
     for b in (0..6u64).rev() {
         let (tele, hp) = batch(b);
         rows.ingest_telescope(tele.clone());
-        store.ingest_telescope(tele.clone());
-        sharded.ingest_telescope(tele);
+        store.ingest_telescope(tele);
         rows.ingest_honeypot(hp.clone());
-        store.ingest_honeypot(hp.clone());
-        sharded.ingest_honeypot(hp);
+        store.ingest_honeypot(hp);
     }
     assert!(store.pending_runs() > 0, "reverse batches must stack runs");
     assert_equivalent(&rows, &store);
-    assert_equivalent(&rows, &sharded.into_store());
 }
 
 #[test]
-fn sharded_duplicate_timestamp_batches_are_equivalent() {
+fn duplicate_timestamp_batches_are_equivalent() {
     // Duplicate (start, target) keys split across interleaved batches: the
     // run tie-break (older run wins) must reproduce the row store's stable
-    // sort even when consolidation is forced after every ingest
-    // (run_threshold 1) and events are routed across shards.
+    // sort both when consolidation is forced after every ingest
+    // (run_threshold 1) and when runs stack up to the default (16).
     let mut tele = Vec::new();
     let mut hp = Vec::new();
     for i in 0..24u64 {
@@ -583,17 +566,17 @@ fn sharded_duplicate_timestamp_batches_are_equivalent() {
     }
     for threshold in [1usize, 16] {
         let mut rows = RowStore::default();
-        let mut sharded = ShardedEventStore::new(3);
-        sharded.set_run_threshold(threshold);
+        let mut store = EventStore::new();
+        store.set_run_threshold(threshold);
         for k in 0..3 {
             let tc: Vec<AttackEvent> = tele.iter().skip(k).step_by(3).cloned().collect();
             let hc: Vec<AttackEvent> = hp.iter().skip(k).step_by(3).cloned().collect();
             rows.ingest_telescope(tc.clone());
-            sharded.ingest_telescope(tc);
+            store.ingest_telescope(tc);
             rows.ingest_honeypot(hc.clone());
-            sharded.ingest_honeypot(hc);
+            store.ingest_honeypot(hc);
         }
-        assert_equivalent(&rows, &sharded.into_store());
+        assert_equivalent(&rows, &store);
     }
 }
 
@@ -615,30 +598,26 @@ fn single_event_batches_are_equivalent() {
         .collect();
     let mut rows = RowStore::default();
     let mut store = EventStore::new();
-    let mut sharded = ShardedEventStore::new(4);
     for e in &events {
         match e.source() {
             EventSource::Telescope => {
                 rows.ingest_telescope(vec![e.clone()]);
                 store.ingest_telescope(vec![e.clone()]);
-                sharded.ingest_telescope(vec![e.clone()]);
             }
             EventSource::Honeypot => {
                 rows.ingest_honeypot(vec![e.clone()]);
                 store.ingest_honeypot(vec![e.clone()]);
-                sharded.ingest_honeypot(vec![e.clone()]);
             }
         }
     }
     assert_equivalent(&rows, &store);
-    assert_equivalent(&rows, &sharded.into_store());
 }
 
 #[test]
 fn run_threshold_matrix_is_equivalent() {
     // Every consolidation cadence — from "collapse after every
     // out-of-order batch" (threshold 1) through the lazy default — must be
-    // observationally identical, serial and sharded.
+    // observationally identical.
     let (tele, hp) = split(
         (0..150u64)
             .map(|i| {
@@ -656,20 +635,15 @@ fn run_threshold_matrix_is_equivalent() {
         let mut rows = RowStore::default();
         let mut store = EventStore::new();
         store.set_run_threshold(threshold);
-        let mut sharded = ShardedEventStore::new(3);
-        sharded.set_run_threshold(threshold);
         for k in 0..4 {
             let tc: Vec<AttackEvent> = tele.iter().skip(k).step_by(4).cloned().collect();
             let hc: Vec<AttackEvent> = hp.iter().skip(k).step_by(4).cloned().collect();
             rows.ingest_telescope(tc.clone());
-            store.ingest_telescope(tc.clone());
-            sharded.ingest_telescope(tc);
+            store.ingest_telescope(tc);
             rows.ingest_honeypot(hc.clone());
-            store.ingest_honeypot(hc.clone());
-            sharded.ingest_honeypot(hc);
+            store.ingest_honeypot(hc);
         }
         assert_equivalent(&rows, &store);
-        assert_equivalent(&rows, &sharded.into_store());
     }
 }
 
