@@ -11,8 +11,7 @@
 //! keys, the lower-indexed source wins. Callers that order their sources
 //! oldest-first therefore get exactly the "existing rows win ties"
 //! semantics of a stable merge, which is what the event store's
-//! sorted-run consolidation and the sharded snapshot merge both pin
-//! byte-for-byte.
+//! sorted-run consolidation pins byte-for-byte.
 
 /// A tournament tree over `k` sorted sources yielding the minimum
 /// `(key, source)` pair in O(log k) per pop.
@@ -134,27 +133,27 @@ impl<K: Ord + Copy> LoserTree<K> {
     }
 }
 
-/// Fully merge `k` sorted slices into one vector (ties: lower slice
-/// index first). The convenience wrapper the microbenches and tests
-/// compare against; the store drives [`LoserTree`] directly over column
-/// blocks instead of materializing key slices.
-pub fn merge_sorted<K: Ord + Copy>(sources: &[&[K]]) -> Vec<K> {
-    let mut cursors = vec![0usize; sources.len()];
-    let heads: Vec<Option<K>> = sources.iter().map(|s| s.first().copied()).collect();
-    let mut tree = LoserTree::new(heads);
-    let total: usize = sources.iter().map(|s| s.len()).sum();
-    let mut out = Vec::with_capacity(total);
-    while let Some(w) = tree.winner() {
-        out.push(sources[w][cursors[w]]);
-        cursors[w] += 1;
-        tree.replace(w, sources[w].get(cursors[w]).copied());
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Fully merge `k` sorted slices into one vector (ties: lower slice
+    /// index first) — the merge loop the tests run the tree through.
+    /// The store drives [`LoserTree`] directly over column blocks instead
+    /// of materializing key slices.
+    fn merge_sorted<K: Ord + Copy>(sources: &[&[K]]) -> Vec<K> {
+        let mut cursors = vec![0usize; sources.len()];
+        let heads: Vec<Option<K>> = sources.iter().map(|s| s.first().copied()).collect();
+        let mut tree = LoserTree::new(heads);
+        let total: usize = sources.iter().map(|s| s.len()).sum();
+        let mut out = Vec::with_capacity(total);
+        while let Some(w) = tree.winner() {
+            out.push(sources[w][cursors[w]]);
+            cursors[w] += 1;
+            tree.replace(w, sources[w].get(cursors[w]).copied());
+        }
+        out
+    }
 
     /// Deterministic xorshift so the differential tests need no rand.
     struct Rng(u64);

@@ -34,7 +34,7 @@ pub use event::{
 pub use fasthash::{FastBuildHasher, FastMap, FastSet, FxHasher};
 pub use index::{BitSet, RunIndex};
 pub use intern::Interner;
-pub use kway::{merge_sorted, LoserTree};
+pub use kway::LoserTree;
 pub use net::{Asn, CountryCode, Ipv4Cidr, Prefix16, Prefix24};
 pub use pool::{PoolError, PoolMetricsSnapshot, Routed, ShardPool, WorkerMetricsSnapshot};
 pub use shard::shard_of_addr;
